@@ -196,11 +196,12 @@ def fuse_templates(templates: list[TraceTemplate]) -> TraceTemplate:
     fused_sched: list = []
     mem_chunks: list = []
     n_loads = 0
-    # Period structure for the scheduler's steady-state fast-forward: period
-    # *i* is the boundary interleave into tile *i* plus tile *i*'s body, and
-    # its scheduling-stream content is a pure function of the (previous,
-    # current) template identity pair -- `_merge_boundary` round-robins the
-    # two source sched lists and `translate` is cached per template object.
+    # Period structure, so CompiledTemplate.flow_tables builds its tables
+    # once per distinct period: period *i* is the boundary interleave into
+    # tile *i* plus tile *i*'s body, and its scheduling-stream content is a
+    # pure function of the (previous, current) template identity pair --
+    # `_merge_boundary` round-robins the two source sched lists and
+    # `translate` is cached per template object.
     # ``starts[i]`` is where period *i* begins in ``fused_sched``;
     # ``starts[n_tiles]`` is where the trailing epilogue begins.
     period_starts: list = []

@@ -10,7 +10,6 @@ from .kernel_cache import (
     KernelKey,
     ReplayCache,
     Residency,
-    TimedKernelCache,
 )
 from .packing import PackCost, PackingMode, choose_packing, pack_block, packing_cycles
 from .reference import (
@@ -40,7 +39,6 @@ __all__ = [
     "KernelKey",
     "ReplayCache",
     "Residency",
-    "TimedKernelCache",
     "PackCost",
     "PackingMode",
     "choose_packing",

@@ -16,8 +16,6 @@ things per chip:
   tractable on an instruction-level simulator.  When a template already
   exists for the shape, new residencies are re-timed by replay rather than
   re-interpretation.
-
-``TimedKernelCache`` remains as a backwards-compatible alias.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from ..codegen.microkernel import ARG_REGS, MicroKernel, generate_microkernel
 from ..faults import plan as _faults
 from ..machine.cache import CacheHierarchy
 from ..machine.chips import ChipSpec
+from ..machine.compiled import ensure_compiled
 from ..machine.memory import Memory
 from ..machine.pipeline import PipelineModel
 from ..machine.simulator import Simulator, TraceTemplate, build_template
@@ -39,7 +38,6 @@ __all__ = [
     "KernelKey",
     "KernelCache",
     "ReplayCache",
-    "TimedKernelCache",
     "Residency",
 ]
 
@@ -124,11 +122,9 @@ class ReplayCache:
         self,
         chip: ChipSpec,
         kernels: KernelCache | None = None,
-        use_compiled: bool = True,
     ) -> None:
         self.chip = chip
         self.kernels = kernels if kernels is not None else GLOBAL_KERNEL_CACHE
-        self.use_compiled = use_compiled
         self._cycles: dict[tuple[KernelKey, Residency], float] = {}
         self._templates: dict[
             tuple[KernelKey, tuple[int, int, int]], TraceTemplate
@@ -217,7 +213,8 @@ class ReplayCache:
         The first measurement of a shape interprets (and captures a
         template); further residencies of the same shape re-time by replay,
         which is bit-identical because the synthetic allocation layout is
-        deterministic.
+        deterministic.  A template whose compilation faulted re-interprets
+        instead.
         """
         memo_key = (key, residency)
         cached = self._cycles.get(memo_key)
@@ -230,7 +227,7 @@ class ReplayCache:
         # same stride key the executor's padded-tile scratch produces.
         strides = (key.kc, key.nr, key.nr)
         tpl = self._templates.get((key, strides))
-        if tpl is not None:
+        if tpl is not None and ensure_compiled(tpl) is not None:
             # Reproduce the bump-allocator layout of the interpreted branch
             # below analytically: first alloc lands at 64, the rest follow
             # 64-byte aligned.  Identical bases + identical warm state mean
@@ -243,10 +240,7 @@ class ReplayCache:
             caches.warm_range(base_a, 4 * key.mr * key.kc, residency.a_level)
             caches.warm_range(base_b, 4 * key.kc * key.nr, residency.b_level)
             caches.warm_range(base_c, 4 * key.mr * key.nr, residency.c_level)
-            pipeline = PipelineModel(
-                self.chip, caches=caches,
-                compile_templates=self.use_compiled,
-            )
+            pipeline = PipelineModel(self.chip, caches=caches)
             with telemetry.span(
                 "time_kernel", mr=key.mr, nr=key.nr, kc=key.kc, replay=True
             ) as sp:
@@ -308,8 +302,3 @@ class ReplayCache:
             telemetry.count("degraded.capture_skipped")
         self._cycles[memo_key] = measured
         return measured + launch
-
-
-#: Backwards-compatible name: the estimator's timed cache is now the shared
-#: replay cache.
-TimedKernelCache = ReplayCache

@@ -1,11 +1,10 @@
 """Trace-template compilation: replay a captured kernel trace as arrays.
 
-A :class:`~repro.machine.simulator.TraceTemplate` replays by walking its
-memory ops one Python tuple at a time (the cache consult) and, on a new
-load-level signature, re-running a per-instruction Python scoreboard.  Both
-walks are pure functions of data that never changes after capture, so this
-module does the analysis once -- ``compile_template`` lowers a template into
-a :class:`CompiledTemplate`, a structure-of-arrays artifact:
+A :class:`~repro.machine.simulator.TraceTemplate` holds its memory ops and
+scheduling stream as per-instruction Python tuples.  Replaying one is a pure
+function of data that never changes after capture, so this module does the
+analysis once -- ``compile_template`` lowers a template into a
+:class:`CompiledTemplate`, a structure-of-arrays artifact:
 
 * **memory ops** as parallel integer arrays (``mem_kind`` / ``mem_op`` /
   ``mem_delta`` / ``mem_plevel``): one fancy-index add rebases every op's
@@ -17,29 +16,28 @@ a :class:`CompiledTemplate`, a structure-of-arrays artifact:
 * **scheduler tables** (built lazily, only on a signature-memo miss): dense
   per-instruction unit ids and load/store/prefetch positions, letting
   :meth:`PipelineModel._schedule_compiled` gather every instruction's
-  latency and reciprocal throughput with fancy indexing before the
-  scoreboard recurrence runs.
+  latency with fancy indexing, plus the CSR dataflow tables the native
+  scoreboard kernel reads.
 
-The exactness contract is inherited unchanged from the replay engine: a
-compiled replay consults the cache hierarchy at the identical address
-sequence in identical program order, produces the identical level
-signature, and the scheduler evaluates identical float expressions in
-identical order -- cycle counts and cache state are bit-equal to the
-interpreted template walk (pinned by ``tests/test_gemm_compiled.py``).
+The exactness contract: a compiled replay consults the cache hierarchy at
+the identical address sequence in identical program order an interpreted
+run would, and the scheduler evaluates :meth:`PipelineModel.time_trace`'s
+float expressions in identical order -- cycle counts and cache state are
+bit-equal to interpretation (pinned by ``tests/test_gemm_compiled.py``).
 What cannot be vectorized exactly is the scoreboard recurrence itself
 (each instruction's issue time depends on earlier finish times through
-max-chains), so that loop stays in Python with everything order-invariant
--- address arithmetic, latency selection, level counting -- hoisted into
-array ops.
+max-chains); it runs in the native kernel or one flat-array Python loop,
+with everything order-invariant -- address arithmetic, latency selection,
+level counting -- hoisted into array ops.
 
 Compilation is deterministic and chip-independent (cache-line ids are
 derived at consult time from the target hierarchy's line size), so one
 artifact serves every chip and launch configuration; it is cached on the
 template (``template.compiled``) and dropped by
 ``TraceTemplate.invalidate_compiled``.  The ``template.compile`` fault
-site covers the lowering step: an injected fault falls back to the
-interpreted template walk -- the first rung of the
-compiled -> replay -> interpret -> reference degradation chain.
+site covers the lowering step: :func:`ensure_compiled` latches an injected
+fault and the caller times the template by interpretation instead -- the
+first rung of the compiled -> interpret -> reference degradation chain.
 """
 
 from __future__ import annotations
@@ -48,9 +46,10 @@ import os
 
 import numpy as np
 
+from .. import telemetry
 from ..faults import plan as _faults
 
-__all__ = ["CompiledTemplate", "compile_template"]
+__all__ = ["CompiledTemplate", "compile_template", "ensure_compiled"]
 
 #: Mirror of the template mem-op kind encoding (simulator.KIND_*); imported
 #: numerically to keep this module free of circular imports.
@@ -280,4 +279,26 @@ def compile_template(template) -> CompiledTemplate:
         from ..analysis.artifactcheck.checker import gate_compiled
 
         gate_compiled(template, compiled)
+    return compiled
+
+
+def ensure_compiled(template) -> CompiledTemplate | None:
+    """The template's compiled artifact, lowering it on first use.
+
+    A recoverable fault at ``template.compile`` latches
+    ``template.compile_failed``, counts ``degraded.compile_skipped`` and
+    returns ``None`` -- then and on every later call, without retrying.
+    Nothing has touched a cache hierarchy yet, so the caller can time the
+    template by interpretation with cycles identical to a replay.
+    """
+    compiled = template.compiled
+    if compiled is None and not template.compile_failed:
+        try:
+            compiled = compile_template(template)
+        except _faults.RECOVERABLE_FAULTS:
+            template.compile_failed = True
+            telemetry.count("degraded.compile_skipped")
+        else:
+            template.compiled = compiled
+            telemetry.count("compile.templates")
     return compiled

@@ -73,9 +73,9 @@ class TraceTemplate:
 
     ``compiled`` lazily holds the template's structure-of-arrays artifact
     (:class:`~repro.machine.compiled.CompiledTemplate`), built on first
-    replay by a compile-enabled :class:`~repro.machine.pipeline.PipelineModel`
-    and dropped by :meth:`invalidate_compiled`; ``compile_failed`` latches an
-    injected/compile failure so the interpreted template walk is used without
+    replay by :func:`~repro.machine.compiled.ensure_compiled` and dropped by
+    :meth:`invalidate_compiled`; ``compile_failed`` latches an injected
+    compile failure so the template is timed by interpretation without
     re-attempting compilation on every tile.
     """
 
@@ -171,8 +171,9 @@ class TraceTemplate:
         self.regs = regs
         self.n_regs = len(regs)
         #: Optional ``(starts, keys)`` periodic structure of ``sched`` set by
-        #: template fusion; lets the scheduler fast-forward identical steady
-        #: state periods.  ``None`` for plain captured templates.
+        #: template fusion; equal keys name identical segments, so
+        #: ``CompiledTemplate.flow_tables`` builds its per-instruction
+        #: tables once per distinct period.  ``None`` for plain templates.
         self.sched_periods = None
 
     @classmethod

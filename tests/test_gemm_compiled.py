@@ -1,32 +1,33 @@
-"""Compiled trace templates: bit-exact equivalence with replay and interpret.
+"""Compiled trace templates: bit-exact equivalence with interpretation.
 
-The compiled layer inherits the replay engine's exactness contract and adds
-nothing to it: for any problem, ``use_compiled=True`` (the default) must
-produce byte-identical ``C`` and identical ``cycles`` / ``instructions`` /
-``loads_by_level`` / ``phase_cycles`` to *both* the interpreted-walk replay
-path (``use_compiled=False``) and full interpretation (``use_replay=False``).
-These tests pin the three-way contract across the same matrix the replay
-tests cover, the batched cache consult's state equality against the scalar
-methods, the timing-memo LRU bound, and the compiled -> replay -> interpret
--> reference degradation chain.
+Compiled replay inherits the interpreter's exactness contract and adds
+nothing to it: for any problem, replay must produce byte-identical ``C``
+and identical ``cycles`` / ``instructions`` / ``loads_by_level`` /
+``phase_cycles`` to full interpretation (``use_replay=False``), whether
+its scoreboard runs in the native kernel or, under ``REPRO_NATIVE=0``, in
+the flat-array Python loop.  These tests pin that three-way contract across
+the same matrix the replay tests cover, the batched cache consult's state
+equality against the scalar methods, the timing-memo LRU bound, and the
+compiled -> interpret -> reference degradation chain.
 """
-
-import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cli import main as cli_main
+from repro.codegen.fusion import fuse_traces
 from repro.faults import plan as faults
 from repro.gemm import AutoGEMM, GemmExecutor, KernelKey, ReplayCache, Residency
 from repro.gemm.reference import sgemm
 from repro.gemm.schedule import Schedule
+from repro.machine import native
 from repro.machine.cache import CacheHierarchy
-from repro.machine.chips import A64FX, GRAVITON2, KP920
-from repro.machine.compiled import compile_template
+from repro.machine.chips import A64FX, APPLE_M2, GRAVITON2, KP920
+from repro.machine.compiled import compile_template, ensure_compiled
 from repro.machine.pipeline import PipelineModel
-from repro.machine.simulator import DEFAULT_TIMING_MEMO_CAP
+from repro.machine.simulator import DEFAULT_TIMING_MEMO_CAP, template_to_trace
 
 
 def result_fields(r):
@@ -39,21 +40,27 @@ def result_fields(r):
     )
 
 
-def assert_equivalent(chip, m, n, k, schedule=None, beta=1.0, threads=1, warm=True):
-    """Three-way equality: compiled == interpreted replay == interpreter."""
+def native_off(monkeypatch):
+    """Latch the native kernels off for the rest of the test, exactly as
+    ``REPRO_NATIVE=0`` does; monkeypatch restores them afterwards."""
+    monkeypatch.setattr(native, "_native", None)
+    monkeypatch.setattr(native, "_failed", True)
+
+
+def assert_equivalent(monkeypatch, chip, m, n, k, schedule=None, beta=1.0,
+                      threads=1, warm=True):
+    """Three-way equality: native compiled replay == Python compiled replay
+    (``REPRO_NATIVE=0``) == interpreter."""
     rng = np.random.default_rng(m * 1_000_003 + n * 1_009 + k)
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)
     c = rng.standard_normal((m, n)).astype(np.float32) if beta != 0.0 else None
     kwargs = dict(schedule=schedule, beta=beta, threads=threads, warm=warm)
-    compiled = GemmExecutor(chip, use_replay=True, use_compiled=True).run(
-        a, b, c, **kwargs
-    )
-    replay = GemmExecutor(chip, use_replay=True, use_compiled=False).run(
-        a, b, c, **kwargs
-    )
+    compiled = GemmExecutor(chip).run(a, b, c, **kwargs)
     interp = GemmExecutor(chip, use_replay=False).run(a, b, c, **kwargs)
-    assert result_fields(compiled) == result_fields(replay)
+    native_off(monkeypatch)
+    python = GemmExecutor(chip).run(a, b, c, **kwargs)
+    assert result_fields(compiled) == result_fields(python)
     assert result_fields(compiled) == result_fields(interp)
     return compiled
 
@@ -61,28 +68,94 @@ def assert_equivalent(chip, m, n, k, schedule=None, beta=1.0, threads=1, warm=Tr
 class TestBitExactness:
     @pytest.mark.parametrize("chip", [GRAVITON2, KP920, A64FX], ids=lambda c: c.name)
     @pytest.mark.parametrize("m,n,k", [(48, 40, 56), (33, 47, 29)])
-    def test_chips_and_shapes(self, chip, m, n, k):
-        assert_equivalent(chip, m, n, k)
+    def test_chips_and_shapes(self, monkeypatch, chip, m, n, k):
+        assert_equivalent(monkeypatch, chip, m, n, k)
 
     @pytest.mark.parametrize("fuse", [True, False])
-    def test_fusion_modes(self, fuse):
+    def test_fusion_modes(self, monkeypatch, fuse):
         sched = Schedule(mc=32, nc=32, kc=32, fuse=fuse)
-        assert_equivalent(GRAVITON2, 64, 64, 64, schedule=sched)
+        assert_equivalent(monkeypatch, GRAVITON2, 64, 64, 64, schedule=sched)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5])
-    def test_beta(self, beta):
-        assert_equivalent(GRAVITON2, 48, 36, 40, beta=beta)
+    def test_beta(self, monkeypatch, beta):
+        assert_equivalent(monkeypatch, GRAVITON2, 48, 36, 40, beta=beta)
 
-    def test_padded_edge_tiles(self):
+    def test_padded_edge_tiles(self, monkeypatch):
         sched = Schedule(mc=32, nc=32, kc=32, static_edges="pad")
-        assert_equivalent(GRAVITON2, 60, 52, 44, schedule=sched)
+        assert_equivalent(monkeypatch, GRAVITON2, 60, 52, 44, schedule=sched)
 
-    def test_multi_k_blocks_accumulate_key(self):
+    def test_multi_k_blocks_accumulate_key(self, monkeypatch):
         sched = Schedule(mc=32, nc=32, kc=16)
-        assert_equivalent(GRAVITON2, 64, 48, 64, schedule=sched)
+        assert_equivalent(monkeypatch, GRAVITON2, 64, 48, 64, schedule=sched)
 
-    def test_threads_cold_cache(self):
-        assert_equivalent(GRAVITON2, 96, 96, 96, threads=4, warm=False)
+    def test_threads_cold_cache(self, monkeypatch):
+        assert_equivalent(
+            monkeypatch, GRAVITON2, 96, 96, 96, threads=4, warm=False
+        )
+
+
+def scoreboards_agree(chip, tpl, trace, bases, launch):
+    """``_scoreboard_dense``, the native kernel and ``time_trace`` give
+    identical cycles and stall cycles for ``tpl`` replayed at ``bases``
+    (``trace`` is the interpreted trace the replay stands for)."""
+    model = PipelineModel(chip, caches=CacheHierarchy(chip), launch_cycles=launch)
+    compiled = ensure_compiled(tpl)
+    lat = model._latencies(tpl, compiled, compiled.consult(bases, model.caches))
+    dense = model._scoreboard_dense(tpl, lat.tolist())
+    oracle = PipelineModel(
+        chip, caches=CacheHierarchy(chip), launch_cycles=launch
+    ).time_trace(trace)
+    assert dense == (oracle.cycles, oracle.stall_cycles)
+    nat = model._scoreboard_native(tpl, compiled, lat)
+    if native.get_native() is not None and len(tpl.units) <= native.MAX_UNITS:
+        assert nat == dense
+
+
+def check_generated_case(chip, m, n, k, fuse, tiling):
+    """One generated case: C bit-exact against ``sgemm``, and the three
+    scoreboards agree on every per-tile and fused template it captured."""
+    rng = np.random.default_rng(m * 10_007 + n * 101 + k)
+    a = rng.standard_normal((m, k)).astype(np.float32)
+    b = rng.standard_normal((k, n)).astype(np.float32)
+    sched = Schedule(
+        mc=32, nc=32, kc=32, fuse=fuse, use_dmt=tiling == "dmt",
+        static_edges="shrink" if tiling == "dmt" else tiling,
+    )
+    ex = GemmExecutor(chip)
+    result = ex.run(a, b, schedule=sched)
+    assert result.c.tobytes() == sgemm(a, b).tobytes()
+
+    launch = ex.launch_cycles
+    # Overlapping bases, so later tiles hit lines earlier ones pulled in.
+    def bases(i):
+        return (4096 + 256 * i, (1 << 20) + 128 * i, (2 << 20) + 64 * i)
+
+    by_uid = {t.uid: t for t in ex.replay._templates.values()}
+    for tpl in by_uid.values():
+        scoreboards_agree(
+            chip, tpl, template_to_trace(tpl, bases(0)), bases(0), launch
+        )
+    for uids, fused in ex.replay._fused.items():
+        tiles = [by_uid[u] for u in uids]
+        trace = fuse_traces(
+            [template_to_trace(t, bases(i)) for i, t in enumerate(tiles)]
+        )
+        all_bases = tuple(x for i in range(len(tiles)) for x in bases(i))
+        scoreboards_agree(chip, fused, trace, all_bases, launch)
+
+
+class TestScoreboardProperty:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        chip=st.sampled_from([GRAVITON2, KP920, APPLE_M2, A64FX]),
+        m=st.integers(1, 48),
+        n=st.integers(1, 48),
+        k=st.integers(1, 48),
+        fuse=st.booleans(),
+        tiling=st.sampled_from(["dmt", "pad", "shrink"]),
+    )
+    def test_generated_cases(self, chip, m, n, k, fuse, tiling):
+        check_generated_case(chip, m, n, k, fuse, tiling)
 
 
 class TestConsultBatch:
@@ -194,22 +267,27 @@ class TestCompiledArtifact:
         assert art.mem_op.tolist() == [f[1] for f in flat]
         assert art.mem_delta.tolist() == [f[2] for f in flat]
 
-    def test_replay_signature_and_cycles_match_interpreted_walk(self):
+    def test_replay_signature_and_cycles_match_interpreted_walk(
+        self, monkeypatch
+    ):
+        """Native replay == Python replay == time_trace on the template's
+        materialised trace."""
         tpl = self._template()
         bases = (64, 8256, 12352)
         timings = []
-        for compile_on in (True, False):
-            model = PipelineModel(
-                GRAVITON2,
-                caches=CacheHierarchy(GRAVITON2),
-                compile_templates=compile_on,
-            )
-            tpl.timing_memo.clear()  # force both paths through scheduling
+        for leg in ("native", "python"):
+            if leg == "python":
+                native_off(monkeypatch)
+            model = PipelineModel(GRAVITON2, caches=CacheHierarchy(GRAVITON2))
+            tpl.timing_memo.clear()  # force both legs through scheduling
             timings.append(model.replay_template(tpl, bases))
-        compiled_t, interp_t = timings
-        assert compiled_t.cycles == interp_t.cycles
-        assert compiled_t.stall_cycles == interp_t.stall_cycles
-        assert compiled_t.loads_by_level == interp_t.loads_by_level
+        oracle = PipelineModel(
+            GRAVITON2, caches=CacheHierarchy(GRAVITON2)
+        ).time_trace(template_to_trace(tpl, bases))
+        for got in timings:
+            assert got.cycles == oracle.cycles
+            assert got.stall_cycles == oracle.stall_cycles
+            assert got.loads_by_level == oracle.loads_by_level
 
     def test_invalidate_compiled(self):
         tpl = self._template()
@@ -273,8 +351,8 @@ class TestMemoLRU:
 
 class TestDegradationChain:
     def test_compile_fault_degrades_to_interpreted_replay(self):
-        """Rung 1: a compile fault falls back to the interpreted template
-        walk -- cycles and C identical to a fault-free run."""
+        """Rung 1: a compile fault falls back to interpretation -- cycles
+        and C identical to a fault-free run."""
         rng = np.random.default_rng(11)
         a = rng.standard_normal((64, 48)).astype(np.float32)
         b = rng.standard_normal((48, 40)).astype(np.float32)
@@ -288,6 +366,47 @@ class TestDegradationChain:
         assert result_fields(faulted) == result_fields(clean)
         assert col.counters.get("degraded.compile_skipped", 0) > 0
         assert col.counters.get("replay.compiled_hits", 0) == 0
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_compile_fault_is_cycle_identical(self, fuse):
+        """A compile fault on multi-tile blocks times every template by
+        interpretation -- trace fusion for a fused block, time_trace per
+        tile otherwise -- never by the analytic model or unfused."""
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((64, 48)).astype(np.float32)
+        b = rng.standard_normal((48, 64)).astype(np.float32)
+        sched = Schedule(mc=32, nc=32, kc=24, fuse=fuse)
+        clean = GemmExecutor(GRAVITON2).run(a, b, schedule=sched)
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("template.compile", probability=1.0)]
+        )
+        with faults.injecting(plan), telemetry.collecting() as col:
+            faulted = GemmExecutor(GRAVITON2).run(a, b, schedule=sched)
+        assert plan.total_injected() > 0
+        assert result_fields(faulted) == result_fields(clean)
+        assert faulted.c.tobytes() == sgemm(a, b).tobytes()
+        assert col.counters.get("degraded.compile_skipped", 0) > 0
+        assert col.counters.get("replay.hits", 0) > 0
+        assert faulted.degradations.get("model_timing", 0) == 0
+        assert faulted.degradations.get("unfused", 0) == 0
+
+    def test_compile_fault_in_estimator_reinterprets(self):
+        """ReplayCache.cycles on a template whose compile faulted measures
+        by interpretation: same cycles as the compiled replay."""
+        key = KernelKey(mr=4, nr=16, kc=32, lane=GRAVITON2.sigma_lane)
+        clean = ReplayCache(GRAVITON2)
+        clean.cycles(key, Residency(1, 1, 1))
+        want = clean.cycles(key, Residency(2, 2, 2))
+        faulted = ReplayCache(GRAVITON2)
+        faulted.cycles(key, Residency(1, 1, 1))
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("template.compile", probability=1.0)]
+        )
+        with faults.injecting(plan), telemetry.collecting() as col:
+            got = faulted.cycles(key, Residency(2, 2, 2))
+        assert got == want
+        assert col.counters.get("degraded.compile_skipped", 0) == 1
+        assert "replay.hits" not in col.counters
 
     def test_chain_to_interpret_and_reference(self):
         """Rungs 2..4: faults on compile + capture + replay-apply push tiles
@@ -313,28 +432,9 @@ class TestDegradationChain:
         assert result.degraded
 
 
-class TestCliOptOut:
-    def test_no_compile_matches_default(self, capsys):
-        code = cli_main(["gemm", "24", "24", "24", "--json"])
-        fast = json.loads(capsys.readouterr().out)
-        assert code == 0
-        code = cli_main(["gemm", "24", "24", "24", "--json", "--no-compile"])
-        slow = json.loads(capsys.readouterr().out)
-        assert code == 0
-        for field in ("cycles", "instructions", "relative_error", "phase_cycles"):
-            assert fast[field] == slow[field]
-
-
 class TestNativeKernels:
     """The cffi-built C kernels must be bit-equal to their Python loops and
     must degrade to them silently when unavailable."""
-
-    @staticmethod
-    def _native_off(monkeypatch):
-        from repro.machine import native
-
-        monkeypatch.setattr(native, "_native", None)
-        monkeypatch.setattr(native, "_failed", True)
 
     @staticmethod
     def _require_native():
@@ -355,7 +455,7 @@ class TestNativeKernels:
         assert col.counters.get("replay.consult_native", 0) >= 1
 
         h_python = CacheHierarchy(GRAVITON2)
-        self._native_off(monkeypatch)
+        native_off(monkeypatch)
         want = h_python.consult_batch(addrs, kinds, plevels)
 
         assert got.tobytes() == want.tobytes()
@@ -378,7 +478,7 @@ class TestNativeKernels:
             h_native.warm_range(1 << 20, 4096, 1)
 
         h_python = CacheHierarchy(GRAVITON2)
-        self._native_off(monkeypatch)
+        native_off(monkeypatch)
         for addrs, kinds, plevels in streams:
             h_python.consult_batch(addrs, kinds, plevels)
             h_python.warm_range(1 << 20, 4096, 1)
@@ -395,12 +495,12 @@ class TestNativeKernels:
         b = rng.standard_normal((32, 48)).astype(np.float32)
 
         with telemetry.collecting() as col:
-            fast = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+            fast = GemmExecutor(GRAVITON2).run(a, b)
         assert col.counters.get("replay.sched_native", 0) >= 1
 
-        self._native_off(monkeypatch)
+        native_off(monkeypatch)
         with telemetry.collecting() as col:
-            slow = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+            slow = GemmExecutor(GRAVITON2).run(a, b)
         assert "replay.sched_native" not in col.counters
         assert result_fields(fast) == result_fields(slow)
 
@@ -436,10 +536,10 @@ class TestNativeKernels:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((32, 24)).astype(np.float32)
         b = rng.standard_normal((24, 32)).astype(np.float32)
-        latched = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+        latched = GemmExecutor(GRAVITON2).run(a, b)
         self._unbuilt(monkeypatch)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        forced_off = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+        forced_off = GemmExecutor(GRAVITON2).run(a, b)
         assert result_fields(latched) == result_fields(forced_off)
 
     def test_unwritable_cache_dir_latches(self, monkeypatch, tmp_path):
