@@ -26,6 +26,10 @@ Four legs, results in ``BENCH_tuner.json`` at the repository root:
    converge the registry entry to the exact schedule a direct tune picks
    for the same budget and seed (``upgrade_converged``).
 
+Every timed call starts from an empty process-wide tile planner
+(:func:`repro.tiling.planner.clear`): the legs share one process, and a
+planner warmed by an earlier leg would otherwise time a later one warm.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_tuner.py            # full space
@@ -51,12 +55,14 @@ from _bench_utils import finalize_payload  # noqa: E402
 from repro import telemetry  # noqa: E402
 from repro.gemm.autogemm import AutoGEMM  # noqa: E402
 from repro.machine.chips import get_chip  # noqa: E402
+from repro.tiling import planner  # noqa: E402
 from repro.tuner.records import schedule_to_dict  # noqa: E402
 from repro.tuner.tuner import AutoTuner  # noqa: E402
 
 
 def run_search(chip, m, n, k, budget, seed, jobs):
     tuner = AutoTuner(chip)
+    planner.clear()
     t0 = time.perf_counter()
     result = tuner.tune(m, n, k, budget=budget, seed=seed, jobs=jobs)
     return result, time.perf_counter() - t0
@@ -69,6 +75,7 @@ def run_registry_leg(chip, m, n, k, budget, registry_path):
 
     first = AutoGEMM(chip, registry=str(registry_path), auto_tune=True,
                      tune_budget=budget)
+    planner.clear()
     with telemetry.collecting() as col1:
         t0 = time.perf_counter()
         first.gemm(a, b)
@@ -78,6 +85,7 @@ def run_registry_leg(chip, m, n, k, budget, registry_path):
     # registry file: it must serve the tuned schedule without any trials.
     second = AutoGEMM(chip, registry=str(registry_path), auto_tune=True,
                       tune_budget=budget)
+    planner.clear()
     with telemetry.collecting() as col2:
         t0 = time.perf_counter()
         second.gemm(a, b)
@@ -111,6 +119,7 @@ def run_coldstart_leg(chip, budget, registry_path, miss_registry_path):
     # The miss path: B against a registry that has never seen its family.
     miss = AutoGEMM(chip, registry=str(miss_registry_path), auto_tune=True,
                     tune_budget=budget, family_serve=False)
+    planner.clear()
     t0 = time.perf_counter()
     miss.gemm(qa, qb)
     full_tune_s = time.perf_counter() - t0
@@ -131,6 +140,7 @@ def run_coldstart_leg(chip, budget, registry_path, miss_registry_path):
     # The projection serve: fresh process-equivalent, zero trials allowed.
     server = AutoGEMM(chip, registry=str(registry_path), tune_budget=budget,
                       family_upgrade=False)
+    planner.clear()
     with telemetry.collecting() as col:
         t0 = time.perf_counter()
         result = server.gemm(qa, qb)

@@ -56,7 +56,7 @@ from .codegen.tiles import enumerate_tiles, first_choice_tiles
 from .gemm.autogemm import AutoGEMM
 from .gemm.reference import reference_gemm, relative_error
 from .machine.chips import ALL_CHIPS, EXTRA_CHIPS, get_chip
-from .model.perf_model import MicroKernelModel, ModelParams
+from .model.perf_model import ModelParams
 from .telemetry import (
     chrome_trace,
     collecting,
@@ -65,7 +65,7 @@ from .telemetry import (
     metrics_dict,
     write_chrome_trace,
 )
-from .tiling.dmt import DynamicMicroTiler
+from .tiling.planner import planner
 
 __all__ = ["main"]
 
@@ -350,9 +350,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_dmt(args) -> int:
     chip = get_chip(args.chip)
-    tiler = DynamicMicroTiler(
-        MicroKernelModel(ModelParams.from_chip(chip)), lane=chip.sigma_lane
-    )
+    tiler = planner(ModelParams.from_chip(chip)).tiler
     with _metrics_scope(args.metrics) as collector:
         result = tiler.tile(args.mc, args.nc, args.kc)
     shapes: dict[tuple[int, int], int] = {}

@@ -26,9 +26,7 @@ from .. import telemetry
 from ..machine.chips import ChipSpec
 from ..machine.multicore import parallel_time, partition_blocks
 from ..model.perf_model import DEFAULT_LAUNCH_CYCLES, MicroKernelModel, ModelParams
-from ..tiling.dmt import DynamicMicroTiler
-from ..tiling.plans import TilePlan
-from ..tiling.static_tiling import libxsmm_tiling, openblas_tiling, tile_for_chip
+from ..tiling.planner import planner
 from .kernel_cache import GLOBAL_KERNEL_CACHE, KernelCache, KernelKey, ReplayCache, Residency
 from .packing import PackingMode, packing_cycles
 from .schedule import Schedule, default_schedule
@@ -110,30 +108,6 @@ class GemmEstimator:
         )
         self.launch_cycles = launch_cycles
         self.model = MicroKernelModel(ModelParams.from_chip(chip, launch=launch_cycles))
-        self._tiler = DynamicMicroTiler(self.model, lane=chip.sigma_lane)
-        self._plan_cache: dict[tuple, TilePlan] = {}
-
-    # -- plan -------------------------------------------------------------
-    def _plan(self, mc: int, nc: int, kc: int, schedule: Schedule) -> TilePlan:
-        key = (mc, nc, kc, schedule.use_dmt, schedule.main_tile, schedule.static_edges)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            telemetry.count("plan_cache.misses")
-            with telemetry.span("plan_block", mc=mc, nc=nc, kc=kc):
-                if schedule.use_dmt:
-                    plan = self._tiler.tile(mc, nc, kc).plan
-                else:
-                    default_tile = tile_for_chip(self.chip.sigma_lane)
-                    tile = schedule.main_tile or (default_tile.mr, default_tile.nr)
-                    plan = (
-                        openblas_tiling(mc, nc, tile)
-                        if schedule.static_edges == "pad"
-                        else libxsmm_tiling(mc, nc, tile)
-                    )
-            self._plan_cache[key] = plan
-        else:
-            telemetry.count("plan_cache.hits")
-        return plan
 
     def residency_for(self, schedule: Schedule) -> Residency:
         """*Block-level* residency: where an operand's cache block lives when
@@ -164,7 +138,7 @@ class GemmEstimator:
         structure the blocked loop actually produces, and ignoring it
         overstates large-``n_c`` schedules by the whole L2/L3 latency.
         """
-        plan = self._plan(mc, nc, kc, schedule)
+        plan = planner(self.model.p).plan_block(mc, nc, kc, schedule)
         chip = self.chip
         panel_level = _fit_level(4 * kc * 4 * chip.sigma_lane, chip)
 

@@ -59,9 +59,9 @@ from ..machine.multicore import parallel_time, partition_blocks
 from ..machine.pipeline import PipelineModel
 from ..machine.simulator import SimulationError, Simulator, TraceTemplate, template_to_trace
 from ..model.perf_model import DEFAULT_LAUNCH_CYCLES, MicroKernelModel, ModelParams
-from ..tiling.dmt import DynamicMicroTiler
 from ..tiling.plans import TilePlan
-from ..tiling.static_tiling import libxsmm_tiling, openblas_tiling, tile_for_chip
+from ..tiling.planner import planner
+from ..tiling.static_tiling import tile_for_chip
 from .kernel_cache import GLOBAL_KERNEL_CACHE, KernelCache, KernelKey, ReplayCache
 from .packing import PackCost, PackingMode, pack_block, packing_cycles
 from .reference import reference_gemm, sgemm
@@ -161,40 +161,15 @@ class GemmExecutor:
             replay_cache if replay_cache is not None else ReplayCache(chip, self.kernels)
         )
         self.model = MicroKernelModel(ModelParams.from_chip(chip, launch=launch_cycles))
-        self._tiler = DynamicMicroTiler(self.model, lane=chip.sigma_lane)
-        self._plan_cache: dict[tuple, TilePlan] = {}
         self.staticcheck = os.environ.get("REPRO_STATICCHECK") == "1"
         self._verified_keys: set[KernelKey] = set()
 
     # ------------------------------------------------------------------
     def plan_block(self, mc: int, nc: int, kc: int, schedule: Schedule) -> TilePlan:
-        """Tile plan for one cache block under the schedule's strategy."""
-        key = (
-            mc,
-            nc,
-            kc,
-            schedule.use_dmt,
-            schedule.main_tile,
-            schedule.static_edges,
-        )
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            telemetry.count("plan_cache.hits")
-            return plan
-        telemetry.count("plan_cache.misses")
-        with telemetry.span("plan_block", mc=mc, nc=nc, kc=kc,
-                            strategy="dmt" if schedule.use_dmt else schedule.static_edges):
-            if schedule.use_dmt:
-                plan = self._tiler.tile(mc, nc, kc).plan
-            else:
-                default_tile = tile_for_chip(self.chip.sigma_lane)
-                tile = schedule.main_tile or (default_tile.mr, default_tile.nr)
-                if schedule.static_edges == "pad":
-                    plan = openblas_tiling(mc, nc, tile)
-                else:
-                    plan = libxsmm_tiling(mc, nc, tile)
-        self._plan_cache[key] = plan
-        return plan
+        """Tile plan for one cache block under the schedule's strategy,
+        from the process-wide planner of this executor's model (the
+        rotating DMT cost, whatever ``schedule.rotate`` says)."""
+        return planner(self.model.p).plan_block(mc, nc, kc, schedule)
 
     # ------------------------------------------------------------------
     def _verify_kernel(self, key: KernelKey, kernel) -> None:
@@ -745,7 +720,7 @@ class GemmExecutor:
             if fused:
                 try:
                     block_cycles += self._time_fused_block(
-                        caches, bindings, traces, replayed, stats
+                        caches, bindings, traces, replayed, stats, degraded
                     )
                 except _faults.RECOVERABLE_FAULTS:
                     self._degrade(degraded, "unfused")
@@ -771,18 +746,19 @@ class GemmExecutor:
         but monotone in the tile shape, so degraded runs stay comparable.
         """
         cycles = 0.0
+        pipeline = PipelineModel(
+            self.chip, caches=caches, launch_cycles=self.launch_cycles
+        )
+        on_fault = self._compile_fault_hook(degraded)
         for idx in range(len(tiles)):
             if idx in reference:
                 cycles += self._model_tile_cycles(tiles[idx], kc, schedule)
                 continue
             tpl, bases = bindings[idx]
             try:
-                pipeline = PipelineModel(
-                    self.chip, caches=caches, launch_cycles=self.launch_cycles
-                )
                 if idx in traces:
                     timing = pipeline.time_trace(traces[idx])
-                elif ensure_compiled(tpl) is not None:
+                elif ensure_compiled(tpl, on_fault) is not None:
                     timing = pipeline.replay_template(tpl, bases)
                 else:
                     timing = pipeline.time_trace(template_to_trace(tpl, bases))
@@ -800,7 +776,12 @@ class GemmExecutor:
             tile.kernel_mr, tile.kernel_nr, kc, rotate=schedule.rotate
         )
 
-    def _time_fused_block(self, caches, bindings, traces, replayed, stats):
+    def _compile_fault_hook(self, degraded: dict):
+        """Put a latched compile fault on this run's result."""
+        return lambda: self._degrade(degraded, "compile_skipped")
+
+    def _time_fused_block(self, caches, bindings, traces, replayed, stats,
+                          degraded):
         """Time a fused block: template fusion when every tile has one and
         the fused template compiles, trace fusion otherwise (materialising
         replayed tiles' traces so the boundary interleave is identical
@@ -811,7 +792,7 @@ class GemmExecutor:
         timing = None
         if all(tpl is not None for tpl, _ in bindings):
             fused_tpl = self.replay.fused([tpl for tpl, _ in bindings])
-            if ensure_compiled(fused_tpl) is not None:
+            if ensure_compiled(fused_tpl, self._compile_fault_hook(degraded)) is not None:
                 all_bases = tuple(b for _, bases in bindings for b in bases)
                 timing = pipeline.replay_template(fused_tpl, all_bases)
         elif self.use_replay:

@@ -43,6 +43,7 @@ first rung of the compiled -> interpret -> reference degradation chain.
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 import numpy as np
 
@@ -282,14 +283,17 @@ def compile_template(template) -> CompiledTemplate:
     return compiled
 
 
-def ensure_compiled(template) -> CompiledTemplate | None:
+def ensure_compiled(
+    template, on_fault: Callable[[], None] | None = None
+) -> CompiledTemplate | None:
     """The template's compiled artifact, lowering it on first use.
 
     A recoverable fault at ``template.compile`` latches
-    ``template.compile_failed``, counts ``degraded.compile_skipped`` and
-    returns ``None`` -- then and on every later call, without retrying.
-    Nothing has touched a cache hierarchy yet, so the caller can time the
-    template by interpretation with cycles identical to a replay.
+    ``template.compile_failed`` and returns ``None`` -- then and on every
+    later call, without retrying.  Nothing has touched a cache hierarchy
+    yet, so the caller can time the template by interpretation with cycles
+    identical to a replay.  The latch is reported once, to ``on_fault`` if
+    given, else as the ``degraded.compile_skipped`` counter.
     """
     compiled = template.compiled
     if compiled is None and not template.compile_failed:
@@ -297,7 +301,10 @@ def ensure_compiled(template) -> CompiledTemplate | None:
             compiled = compile_template(template)
         except _faults.RECOVERABLE_FAULTS:
             template.compile_failed = True
-            telemetry.count("degraded.compile_skipped")
+            if on_fault is None:
+                telemetry.count("degraded.compile_skipped")
+            else:
+                on_fault()
         else:
             template.compiled = compiled
             telemetry.count("compile.templates")

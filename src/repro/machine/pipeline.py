@@ -21,6 +21,7 @@ L1-overflow cliff in Figure 6 falls out of this.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -36,6 +37,18 @@ from .chips import ChipSpec
 from .compiled import ensure_compiled
 
 __all__ = ["TimingResult", "PipelineModel"]
+
+#: Small-int identity of each distinct ChipSpec *value* (the scheduler
+#: tables and timing memos depend on every field of the chip).
+_CHIP_IDS: dict[ChipSpec, int] = {}
+_chip_ids = itertools.count()
+
+
+def _chip_id(chip: ChipSpec) -> int:
+    cid = _CHIP_IDS.get(chip)
+    if cid is None:
+        cid = _CHIP_IDS.setdefault(chip, next(_chip_ids))
+    return cid
 
 
 @dataclass
@@ -74,7 +87,7 @@ class PipelineModel:
     give bit-identical cycles.
     """
 
-    #: Per-(chip name, interned unit tuple) scheduler tables, shared across
+    #: Per-(chip value, interned unit tuple) scheduler tables, shared across
     #: instances: the rt/lat/load_lat floats depend only on the chip spec and
     #: a template's unit interning order, so rebuilding them from
     #: ``chip.ipc``/``chip.latency`` on every signature miss was pure waste.
@@ -89,6 +102,7 @@ class PipelineModel:
         self.chip = chip
         self.caches = caches if caches is not None else CacheHierarchy(chip)
         self.launch_cycles = launch_cycles
+        self._chip_id = _chip_id(chip)
 
     def time_trace(self, trace: Trace) -> TimingResult:
         if _faults._PLAN is not None:
@@ -235,7 +249,7 @@ class PipelineModel:
         telemetry.count("replay.compiled_hits")
 
         memo_store = template.timing_memo
-        key = (self.chip.name, self.launch_cycles, signature)
+        key = (self._chip_id, self.launch_cycles, signature)
         memo = memo_store.get(key)
         if memo is None:
             memo = self._schedule_compiled(template, compiled, signature)
@@ -260,10 +274,10 @@ class PipelineModel:
 
         Returns ``(rt, lat, load_lat, store_lat)`` with float values computed
         by the exact expressions ``time_trace`` uses, so cached and uncached
-        schedules are bit-identical.  Keyed by chip *name* -- the same
-        identity the timing memo already assumes.
+        schedules are bit-identical.  Keyed by chip value, like the timing
+        memo.
         """
-        key = (self.chip.name, tuple(units))
+        key = (self._chip_id, tuple(units))
         tables = PipelineModel._TABLE_CACHE.get(key)
         if tables is None:
             chip = self.chip

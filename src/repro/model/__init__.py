@@ -1,6 +1,5 @@
-"""Performance models: micro-kernel equations, block model, roofline."""
+"""Performance models: micro-kernel equations (Eqns 4-11), roofline."""
 
-from .block_model import BlockCost, block_runtime, problem_runtime
 from .calibration import (
     CalibrationResult,
     TileMeasurement,
@@ -24,13 +23,10 @@ from .perf_model import (
 )
 
 __all__ = [
-    "BlockCost",
     "CalibrationResult",
     "TileMeasurement",
     "calibrate_sigma_ai",
     "measure_tile",
-    "block_runtime",
-    "problem_runtime",
     "BANDWIDTH_LEVELS",
     "RooflinePoint",
     "attainable_gflops",

@@ -1,6 +1,6 @@
 """Micro-tiling strategies: static baselines and Dynamic Micro-Tiling."""
 
-from .dmt import DMTResult, DynamicMicroTiler, RegionChoice, dmt_tiling
+from .dmt import DMTResult, DynamicMicroTiler, RegionChoice
 from .plans import PlacedTile, TilePlan, coverage_errors
 from .static_tiling import (
     DEFAULT_MAIN_TILE,
@@ -13,7 +13,6 @@ __all__ = [
     "DMTResult",
     "DynamicMicroTiler",
     "RegionChoice",
-    "dmt_tiling",
     "PlacedTile",
     "TilePlan",
     "coverage_errors",

@@ -27,7 +27,7 @@ from ..codegen.tiles import TileShape, enumerate_tiles
 from ..model.perf_model import MicroKernelModel
 from .plans import PlacedTile, TilePlan
 
-__all__ = ["RegionChoice", "DMTResult", "DynamicMicroTiler", "dmt_tiling"]
+__all__ = ["RegionChoice", "DMTResult", "DynamicMicroTiler"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,12 @@ class DMTResult:
 
 
 class DynamicMicroTiler:
-    """Algorithm 1, parameterised by the chip's performance model."""
+    """Algorithm 1, parameterised by the chip's performance model; callers
+    share one per model value through :mod:`repro.tiling.planner`."""
+
+    #: Entry bound of each memo.  One ResNet-50 estimate fills about 72k
+    #: region entries; reaching the bound clears the memo.
+    MEMO_BOUND = 1 << 18
 
     def __init__(
         self,
@@ -68,8 +73,10 @@ class DynamicMicroTiler:
             if tiles is not None
             else enumerate_tiles(lane, generatable_only=True)
         )
+        # Plain numbers only (nothing per entry for the GC to traverse);
+        # a concurrent caller may repeat work but reads only whole values.
         self._tr_cache: dict[tuple[int, int, int], float] = {}
-        self._region_cache: dict[tuple[int, int, int], RegionChoice] = {}
+        self._region_cache: dict[int, float] = {}
 
     # -- T_r(m_r, n_r): model cost of one kernel invocation -----------------
     def kernel_cost(self, mr: int, nr: int, kc: int) -> float:
@@ -77,7 +84,7 @@ class DynamicMicroTiler:
         cached = self._tr_cache.get(key)
         if cached is None:
             cached = self.model.tile_cost(mr, nr, kc, rotate=self.rotate)
-            self._tr_cache[key] = cached
+            _remember(self._tr_cache, key, cached, self.MEMO_BOUND)
         return cached
 
     # -- T(m, n): inner minimisation of Algorithm 1 lines 11-16 -------------
@@ -92,11 +99,6 @@ class DynamicMicroTiler:
         """
         if m == 0 or n == 0:
             return RegionChoice(0.0, None, 0)
-        key = (m, n, kc)
-        cached = self._region_cache.get(key)
-        if cached is not None:
-            return cached
-
         best = RegionChoice(math.inf, None, 0)
         for tile in self.tiles:
             mr = min(tile.mr, m)
@@ -118,8 +120,20 @@ class DynamicMicroTiler:
                 abs(cost - best.cost) <= 1e-9 and count < best.num_tiles
             ):
                 best = RegionChoice(cost, TileShape(mr, nr, self.lane), count)
-        self._region_cache[key] = best
         return best
+
+    def region_cost(self, m: int, n: int, kc: int) -> float:
+        """``region(m, n, kc).cost``, memoised for the split search (whose
+        regions never exceed the caps below, so ``m`` and ``n`` pack into
+        24 bits each of one integer key)."""
+        if m == 0 or n == 0:
+            return 0.0
+        key = (kc << 48) | (n << 24) | m
+        cost = self._region_cache.get(key)
+        if cost is None:
+            cost = self.region(m, n, kc).cost
+            _remember(self._region_cache, key, cost, self.MEMO_BOUND)
+        return cost
 
     def _emit_region(
         self, plan: TilePlan, r0: int, c0: int, m: int, n: int, kc: int
@@ -175,12 +189,14 @@ class DynamicMicroTiler:
         """The exact DP on one block within the caps."""
 
         # S(n) = min_m T(m, n) + T(mc - m, n); symmetric in m, so m <= mc/2.
+        region_cost = self.region_cost
+
         def best_m_split(n: int) -> tuple[float, int]:
             if n == 0:
                 return 0.0, 0
             best_cost, best_m = math.inf, 0
             for m_up in range(0, mc // 2 + 1):
-                cost = self.region(m_up, n, kc).cost + self.region(mc - m_up, n, kc).cost
+                cost = region_cost(m_up, n, kc) + region_cost(mc - m_up, n, kc)
                 if cost < best_cost - 1e-9:
                     best_cost, best_m = cost, m_up
             return best_cost, best_m
@@ -279,6 +295,12 @@ class DynamicMicroTiler:
         )
 
 
+def _remember(memo: dict, key, value, bound: int) -> None:
+    if len(memo) >= bound:
+        memo.clear()
+    memo[key] = value
+
+
 def _merge_into(dst: TilePlan, src: TilePlan, row0: int, col0: int) -> None:
     for t in src.tiles:
         dst.tiles.append(
@@ -292,9 +314,3 @@ def _merge_into(dst: TilePlan, src: TilePlan, row0: int, col0: int) -> None:
             )
         )
 
-
-def dmt_tiling(
-    mc: int, nc: int, kc: int, model: MicroKernelModel, lane: int = 4
-) -> TilePlan:
-    """Convenience wrapper returning just the DMT plan."""
-    return DynamicMicroTiler(model, lane=lane).tile(mc, nc, kc).plan

@@ -158,21 +158,24 @@ def project_schedule(
     blocks: for each of ``mc``/``nc``/``kc`` the two divisor-constrained
     candidates of the *query* extent nearest the source block are crossed,
     the plain clip of the source blocks is added, and the analytic Eqn 13
-    model ranks the variants.  Returns ``(schedule, model_cycles)``.
+    model ranks the variants.  Each variant is scored once; a cost tie goes
+    to the first in that order (the plain clip first), never to hash
+    order.  Returns ``(schedule, model_cycles)``.
     """
     base = entry.schedule
     lane = chip.sigma_lane
-    variants = {base.clipped(m, n, k)}
+    variants = [base.clipped(m, n, k)]
     for mc in _nearest_candidates(candidate_blocks(m, chip), base.mc):
         for nc in _nearest_candidates(
             candidate_blocks(n, chip, min_block=min(lane, n)), base.nc
         ):
             for kc in _nearest_candidates(candidate_blocks(k, chip), base.kc):
-                variants.add(
+                variants.append(
                     replace(base, mc=mc, nc=nc, kc=kc).clipped(m, n, k)
                 )
-    best = min(variants, key=lambda s: model_cost(s, m, n, k, chip))
-    return best, model_cost(best, m, n, k, chip)
+    costs = {s: model_cost(s, m, n, k, chip) for s in dict.fromkeys(variants)}
+    best = min(costs, key=costs.__getitem__)
+    return best, costs[best]
 
 
 class FamilyIndex:

@@ -22,8 +22,8 @@ from dataclasses import replace
 from ..gemm.packing import PackingMode, packing_cycles
 from ..gemm.schedule import Schedule
 from ..machine.chips import ChipSpec
-from ..model.perf_model import MicroKernelModel, ModelParams
-from ..tiling.dmt import DynamicMicroTiler
+from ..model.perf_model import ModelParams
+from ..tiling.planner import planner
 
 __all__ = ["model_cost", "prune"]
 
@@ -46,8 +46,6 @@ def model_cost(schedule: Schedule, m: int, n: int, k: int, chip: ChipSpec) -> fl
     )
     lat_load = _residency_latency(working_set, chip)
     params = replace(ModelParams.from_chip(chip), lat_load=lat_load)
-    model = MicroKernelModel(params)
-    tiler = DynamicMicroTiler(model, lane=chip.sigma_lane, rotate=schedule.rotate)
 
     m_blocks = math.ceil(m / schedule.mc)
     n_blocks = math.ceil(n / schedule.nc)
@@ -55,9 +53,11 @@ def model_cost(schedule: Schedule, m: int, n: int, k: int, chip: ChipSpec) -> fl
 
     # Representative block (remainder blocks are strictly smaller; the model
     # needs ranking fidelity, not exactness).
-    block = tiler.tile(schedule.mc, schedule.nc, schedule.kc)
-    launches = 1 if schedule.fuse else block.plan.num_tiles
-    block_cycles = block.cost + launches * params.launch
+    cost, num_tiles = planner(params, schedule.rotate).block_cost(
+        schedule.mc, schedule.nc, schedule.kc
+    )
+    launches = 1 if schedule.fuse else num_tiles
+    block_cycles = cost + launches * params.launch
 
     total = m_blocks * n_blocks * k_blocks * block_cycles
 

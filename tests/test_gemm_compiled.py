@@ -11,6 +11,8 @@ equality against the scalar methods, the timing-memo LRU bound, and the
 compiled -> interpret -> reference degradation chain.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,34 @@ class TestMemoLRU:
         assert stats["compiled"] == 1
 
 
+class TestChipValueKeys:
+    """Scheduler tables and timing memos are keyed by the chip's value: a
+    variant that keeps a chip's name but changes a latency replays with
+    its own latencies, cycle-identical to interpretation."""
+
+    VARIANT = replace(GRAVITON2, lat_fma=12)
+
+    def test_template_replays_per_chip_value(self):
+        tpl = TestCompiledArtifact._template()
+        bases = (64, 8256, 12352)
+        for chip in (GRAVITON2, self.VARIANT):
+            replayed = PipelineModel(chip, caches=CacheHierarchy(chip)).replay_template(tpl, bases)
+            interpreted = PipelineModel(chip, caches=CacheHierarchy(chip)).time_trace(
+                template_to_trace(tpl, bases)
+            )
+            assert replayed.cycles == interpreted.cycles
+        assert len(tpl.timing_memo) == 2
+
+    def test_executor_after_a_same_name_chip(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((48, 48)).astype(np.float32)
+        b = rng.standard_normal((48, 32)).astype(np.float32)
+        GemmExecutor(GRAVITON2).run(a, b)
+        replayed = GemmExecutor(self.VARIANT).run(a, b)
+        interpreted = GemmExecutor(self.VARIANT, use_replay=False).run(a, b)
+        assert result_fields(replayed) == result_fields(interpreted)
+
+
 class TestDegradationChain:
     def test_compile_fault_degrades_to_interpreted_replay(self):
         """Rung 1: a compile fault falls back to interpretation -- cycles
@@ -389,6 +419,29 @@ class TestDegradationChain:
         assert col.counters.get("replay.hits", 0) > 0
         assert faulted.degradations.get("model_timing", 0) == 0
         assert faulted.degradations.get("unfused", 0) == 0
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_compile_fault_is_visible_on_the_result(self, fuse):
+        """Each latched compile fault is one ``compile_skipped`` engagement
+        on the result and on the counter; a later run over the same
+        latched templates engages nothing."""
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((64, 48)).astype(np.float32)
+        b = rng.standard_normal((48, 64)).astype(np.float32)
+        sched = Schedule(mc=32, nc=32, kc=24, fuse=fuse)
+        executor = GemmExecutor(GRAVITON2)
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("template.compile", probability=1.0)]
+        )
+        with faults.injecting(plan), telemetry.collecting() as col:
+            faulted = executor.run(a, b, schedule=sched)
+            again = executor.run(a, b, schedule=sched)
+        injected = plan.total_injected()
+        assert injected > 0
+        assert faulted.degraded
+        assert faulted.degradations == {"compile_skipped": injected}
+        assert col.counters.get("degraded.compile_skipped") == injected
+        assert not again.degraded and again.degradations == {}
 
     def test_compile_fault_in_estimator_reinterprets(self):
         """ReplayCache.cycles on a template whose compile faulted measures

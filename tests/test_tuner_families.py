@@ -24,6 +24,7 @@ from repro.faults import plan as faults
 from repro.gemm.autogemm import AutoGEMM
 from repro.gemm.reference import sgemm
 from repro.gemm.schedule import default_schedule
+from repro.tuner import families
 from repro.tuner.families import (
     FamilyIndex,
     classify_shape,
@@ -140,6 +141,28 @@ class TestProjection:
         m, n, k = QUERY
         _, cost = project_schedule(entry, m, n, k, kp920)
         assert cost <= model_cost(base.clipped(m, n, k), m, n, k, kp920)
+
+    def test_tie_goes_to_the_plain_clip_each_variant_scored_once(
+        self, kp920, path, monkeypatch
+    ):
+        """With every variant at the same cost the winner is the first in
+        the fixed order -- the plain clip of the source blocks -- not
+        whichever a hash-ordered set yields first."""
+        reg = ScheduleRegistry(path)
+        base = put_shape(reg, kp920, *SEED_SHAPE)
+        (entry,) = reg.live_entries(kp920.name)
+        scored = []
+
+        def flat_cost(schedule, m, n, k, chip):
+            scored.append(schedule)
+            return 4096.0
+
+        monkeypatch.setattr(families, "model_cost", flat_cost)
+        m, n, k = QUERY
+        sched, cost = project_schedule(entry, m, n, k, kp920)
+        assert sched == base.clipped(m, n, k)
+        assert cost == 4096.0
+        assert len(scored) == len(set(scored)) > 1
 
 
 class TestFamilyIndex:
